@@ -26,12 +26,13 @@
 
 use canon::crescendo::build_crescendo;
 use canon_bench::{
-    banner, emit_row, row, BenchConfig, MonotonicClock, PhaseTimer, TransportChoice,
+    banner, emit_row, latencies, percentile, row, BenchConfig, MonotonicClock, PhaseTimer,
+    TransportChoice,
 };
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_node::{
-    from_graph, CacheConfig, ChannelTransport, Command, FramedTransport, Op, RpcConfig, Runtime,
-    RuntimeConfig, Transport,
+    from_graph, CacheConfig, ChannelTransport, Command, FramedTransport, Op, OpKind, RpcConfig,
+    Runtime, RuntimeConfig, Transport,
 };
 use canon_workloads::FlashCrowd;
 use std::sync::Arc;
@@ -48,14 +49,6 @@ const SPIKE_SHARE: f64 = 0.9;
 
 /// Real-time length of one runtime tick.
 const TICK: Duration = Duration::from_micros(20);
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
 
 /// Everything one variant run reports and the cross-run asserts compare.
 struct Outcome {
@@ -121,7 +114,6 @@ fn run_variant(cfg: &BenchConfig, cache_capacity: usize) -> Outcome {
         );
     }
     rt.run_until_idle();
-    let baseline_samples = rt.rtt_samples().len();
     let baseline_loads = rt.forwarding_loads();
 
     // Phase 2: the flash-crowd GET storm as a stream of waves — one
@@ -154,10 +146,12 @@ fn run_variant(cfg: &BenchConfig, cache_capacity: usize) -> Outcome {
     );
     assert_eq!(summary.not_found, 0, "storm GET missed a seeded key");
 
-    // Storm-phase latencies and per-node forwarding deltas only.
+    // Storm-phase latencies and per-node forwarding deltas only. The
+    // storm is GET-only and the seeding phase PUT-only, so the storm's
+    // completions are exactly the GETs.
     let tick_us = TICK.as_secs_f64() * 1e6;
-    let mut rtt: Vec<f64> = rt.rtt_samples().split_off(baseline_samples);
-    rtt.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    let completions = rt.completions();
+    let rtt = latencies(completions.iter().filter(|c| c.kind == OpKind::Get));
     let loads: Vec<u64> = rt
         .forwarding_loads()
         .iter()

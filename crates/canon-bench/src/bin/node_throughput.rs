@@ -9,8 +9,8 @@
 //! Reported per run:
 //!
 //! * sustained throughput (completed requests per second of drive time);
-//! * round-trip latency percentiles (p50/p90/p99), measured by the
-//!   per-origin `RouteObserver` latency sinks;
+//! * round-trip latency percentiles (p50/p90/p99) of the answered
+//!   requests, from the completion records;
 //! * mean route hops, from the completion records;
 //! * the zero-loss account: injected == completed, zero duplicate
 //!   responses — the run **fails** if either is violated.
@@ -27,7 +27,8 @@
 
 use canon::crescendo::build_crescendo;
 use canon_bench::{
-    banner, emit_row, row, BenchConfig, MonotonicClock, PhaseTimer, TransportChoice, WorkloadChoice,
+    banner, emit_row, latencies, percentile, row, BenchConfig, MonotonicClock, PhaseTimer,
+    TransportChoice, WorkloadChoice,
 };
 use canon_hierarchy::{Hierarchy, Placement};
 use canon_node::{
@@ -42,14 +43,6 @@ const REQUESTS_PER_NODE: u64 = 100;
 
 /// Real-time length of one runtime tick.
 const TICK: Duration = Duration::from_micros(20);
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
 
 fn main() {
     let cfg = BenchConfig::from_args(1024, 1);
@@ -133,10 +126,9 @@ fn main() {
     let drive = times.measure;
 
     let summary = rt.summary();
-    let mut rtt: Vec<f64> = rt.rtt_samples();
-    rtt.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let tick_us = TICK.as_secs_f64() * 1e6;
     let completions = rt.completions();
+    let rtt = latencies(&completions);
     let mean_hops = if completions.is_empty() {
         0.0
     } else {

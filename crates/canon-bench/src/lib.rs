@@ -425,6 +425,34 @@ pub fn secs(d: Duration) -> String {
     format!("{:.3}s", d.as_secs_f64())
 }
 
+/// Round-trip latencies in ticks of every answered completion, sorted
+/// ascending. Timed-out requests never got an answer and are left out.
+/// Pass a filtered iterator to measure one phase: `completions()` lists
+/// records slot by slot, not in completion-time order, so a phase is
+/// selected by what its requests are (e.g. their kind), never by position.
+pub fn latencies<'a>(
+    completions: impl IntoIterator<Item = &'a canon_node::Completion>,
+) -> Vec<f64> {
+    let mut out: Vec<f64> = completions
+        .into_iter()
+        .filter(|c| c.outcome != canon_node::Outcome::TimedOut)
+        .map(|c| c.latency() as f64)
+        .collect();
+    out.sort_by(f64::total_cmp);
+    out
+}
+
+/// The nearest-rank `p`-quantile (`0 < p <= 1`) of an ascending slice: the
+/// smallest sample with at least a `p` share of the samples at or below
+/// it. 0 for an empty slice.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (p * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// A real-time [`canon_node::Clock`]: maps a monotonic OS clock onto the
 /// node runtime's ticks.
 ///
@@ -497,6 +525,8 @@ pub fn members_by_domain_at_depth(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use canon_id::NodeId;
+    use canon_node::{Completion, OpKind, Outcome};
 
     fn cfg(max_n: usize, seeds: u64) -> BenchConfig {
         BenchConfig {
@@ -632,5 +662,66 @@ mod tests {
             ],
         };
         assert_eq!(row.mean_of(|o| o.result), 2.0);
+    }
+
+    fn done(
+        origin: u64,
+        kind: OpKind,
+        outcome: Outcome,
+        issued_at: u64,
+        completed_at: u64,
+    ) -> Completion {
+        Completion {
+            origin: NodeId::new(origin),
+            req: 0,
+            kind,
+            key: 0,
+            outcome,
+            responder: None,
+            value: None,
+            hops: 0,
+            attempts: 1,
+            issued_at,
+            completed_at,
+        }
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile(&[], 0.5), 0.0);
+        let v: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(percentile(&v, 0.5), 5.0);
+        assert_eq!(percentile(&v, 0.51), 6.0);
+        assert_eq!(percentile(&v, 0.9), 9.0);
+        assert_eq!(percentile(&v, 0.99), 10.0);
+        assert_eq!(percentile(&v, 1.0), 10.0);
+        assert_eq!(percentile(&v, 0.0), 1.0);
+        assert_eq!(percentile(&[7.0], 0.99), 7.0);
+    }
+
+    #[test]
+    fn latencies_are_sorted_and_skip_timeouts() {
+        let cs = [
+            done(1, OpKind::Get, Outcome::Ok, 10, 40),
+            done(1, OpKind::Get, Outcome::TimedOut, 0, 1000),
+            done(2, OpKind::Get, Outcome::NotFound, 5, 15),
+        ];
+        assert_eq!(latencies(&cs), vec![10.0, 30.0]);
+        assert!(latencies(&[]).is_empty());
+    }
+
+    #[test]
+    fn phase_is_selected_by_kind_not_position() {
+        // `Runtime::completions()` concatenates slot by slot: node 1's
+        // storm GET is listed before node 2's seeding PUT. Splitting at
+        // the number of seeding samples would keep the PUT and drop a GET.
+        let cs = [
+            done(1, OpKind::Put, Outcome::Ok, 0, 100),
+            done(1, OpKind::Get, Outcome::Ok, 200, 203),
+            done(2, OpKind::Put, Outcome::Ok, 0, 90),
+            done(2, OpKind::Get, Outcome::Ok, 200, 207),
+        ];
+        let storm = latencies(cs.iter().filter(|c| c.kind == OpKind::Get));
+        assert_eq!(storm, vec![3.0, 7.0]);
     }
 }

@@ -28,7 +28,7 @@
 //!
 //! * [`cache`] — the en-route read cache on the GET path: level-annotated
 //!   entries filled along converged routes, owner-driven invalidation,
-//!   observer-sink accounting;
+//!   per-node counters;
 //! * [`clock`] — the [`clock::Clock`] trait and the virtual lock-step
 //!   clock;
 //! * [`transport`] — envelopes, mailboxes, the in-process channel
@@ -69,12 +69,12 @@ pub mod shard;
 pub mod transport;
 pub mod wire;
 
-pub use cache::{CacheConfig, CacheEvent, CacheObserver, CacheSummary, CacheTally, NodeCache};
+pub use cache::{CacheConfig, CacheSummary, CacheTally, NodeCache};
 pub use clock::{Clock, Tick, VirtualClock};
 pub use cluster::from_graph;
-pub use framed::{FrameEvent, FrameLedger, FrameObserver, FramedTransport, LinkBytes, WireSummary};
+pub use framed::{FrameLedger, FramedTransport, LinkBytes, WireSummary};
 pub use msg::{Command, Completion, JoinGrant, Op, OpKind, Outcome, Payload, RpcResult};
-pub use node::{LatencySink, NodeStats};
+pub use node::NodeStats;
 pub use remote::RemoteShard;
 pub use rpc::{RetryDecision, RpcConfig, RpcTable};
 pub use runtime::{ReplicationStatus, Runtime, RuntimeConfig, Summary};

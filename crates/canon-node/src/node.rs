@@ -17,6 +17,11 @@
 //! minimum = clockwise predecessor), and it answers the origin directly.
 //! Because every hop strictly decreases the clockwise distance to the
 //! key, requests cannot cycle even across stale link tables mid-churn.
+//!
+//! Each fact a node measures has one record: a request's hops and round
+//! trip (`completed_at - issued_at`) live in its [`Completion`], message
+//! counts in [`NodeStats`], and cache traffic in the cache's
+//! [`crate::cache::CacheTally`].
 
 use crate::cache::NodeCache;
 use crate::clock::Tick;
@@ -29,7 +34,7 @@ use canon_id::metric::Clockwise;
 use canon_id::ring::SortedRing;
 use canon_id::NodeId;
 use canon_overlay::engine::HOP_LIMIT;
-use canon_overlay::{HopCount, HopEvent, NodeIndex, PatchedOverlay, RouteObserver};
+use canon_overlay::PatchedOverlay;
 use canon_store::{ContentId, Policy};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -40,31 +45,6 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 /// coherence.
 const CACHE_REGISTRY_CAP: usize = 32;
 
-/// A [`RouteObserver`] sink collecting latency samples from
-/// [`HopEvent::Hop`] events — request origins stream one synthetic hop
-/// per completed RPC (origin → responder, priced at the round-trip time),
-/// so percentile reporting in the load harness runs off the same observer
-/// machinery as every other measurement in the workspace.
-#[derive(Clone, Debug, Default)]
-pub struct LatencySink {
-    samples: Vec<f64>,
-}
-
-impl LatencySink {
-    /// The collected samples, in arrival order.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-}
-
-impl RouteObserver for LatencySink {
-    fn on_event(&mut self, event: &HopEvent) {
-        if let HopEvent::Hop { latency, .. } = event {
-            self.samples.push(*latency);
-        }
-    }
-}
-
 /// Per-node message accounting.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NodeStats {
@@ -72,8 +52,6 @@ pub struct NodeStats {
     pub forwarded: u64,
     /// Requests served as the responsible node.
     pub served: u64,
-    /// Replica writes accepted.
-    pub replicas_stored: u64,
     /// Responses for unknown request ids (retransmission duplicates).
     pub duplicate_responses: u64,
     /// Sends to identifiers missing from the directory.
@@ -89,7 +67,7 @@ pub struct NodeStats {
 }
 
 /// One routed request as it travels hop to hop (and as parked in
-/// [`NodeState::deferred`]): `(origin, req, attempt, hops, op, path)`.
+/// `NodeState::deferred`): `(origin, req, attempt, hops, op, path)`.
 pub type RoutedRequest = (NodeId, u64, u32, u32, Op, Vec<NodeId>);
 
 /// The network context a node handles messages in: shared mailboxes, the
@@ -105,8 +83,6 @@ pub(crate) struct Net<'a> {
 #[derive(Debug)]
 pub(crate) struct NodeState {
     pub id: NodeId,
-    /// This node's mailbox slot (also its [`NodeIndex`] in hop events).
-    pub slot: usize,
     /// Out-links (the Crescendo link table).
     pub links: BTreeSet<NodeId>,
     /// Global-ring successors, nearest first (the root-level leaf set;
@@ -165,10 +141,6 @@ pub(crate) struct NodeState {
     /// Owner side of cache coherence: the cachers registered per key —
     /// the invalidation fan-out set, capped at [`CACHE_REGISTRY_CAP`].
     cache_registry: BTreeMap<u64, BTreeSet<NodeId>>,
-    /// Forwarding-side observer sink.
-    pub hop_sink: HopCount,
-    /// Origin-side RTT observer sink.
-    pub rtt_sink: LatencySink,
     pub completions: Vec<Completion>,
     /// Deterministic event log (only populated when recording).
     pub events: Vec<String>,
@@ -181,7 +153,6 @@ pub(crate) struct NodeState {
 impl NodeState {
     pub fn new(
         id: NodeId,
-        slot: usize,
         links: BTreeSet<NodeId>,
         succ_list: Vec<NodeId>,
         pred: Option<NodeId>,
@@ -190,7 +161,6 @@ impl NodeState {
     ) -> NodeState {
         let mut state = NodeState {
             id,
-            slot,
             links,
             succ_list,
             pred,
@@ -211,8 +181,6 @@ impl NodeState {
             cache: NodeCache::new(cfg.cache),
             write_stamps: BTreeMap::new(),
             cache_registry: BTreeMap::new(),
-            hop_sink: HopCount::default(),
-            rtt_sink: LatencySink::default(),
             completions: Vec::new(),
             events: Vec::new(),
             record: cfg.record_events,
@@ -351,10 +319,7 @@ impl NodeState {
                 path,
             } => self.route_or_serve(net, (origin, req, attempt, hops, op, path)),
             Payload::Response { req, hops, result } => self.on_response(net, req, hops, result),
-            Payload::Replicate { key, value } => {
-                self.shard.insert(key, value);
-                self.stats.replicas_stored += 1;
-            }
+            Payload::Replicate { key, value } => self.shard.insert(key, value),
             Payload::RepairJoin { joined } => self.repair_join(net, joined),
             Payload::LeaveHandoff { departing, shard } => {
                 self.log(net.now, || format!("handoff from {departing}"));
@@ -446,7 +411,6 @@ impl NodeState {
                 self.on_response(net, req, 0, result);
             }
             Some(nb) => {
-                self.observe_forward(net, nb);
                 // GETs accumulate the hop path so the responsible node can
                 // plant fills along it (paper §4.2).
                 let path = if self.cache.enabled() && matches!(op, Op::Get { .. }) {
@@ -531,17 +495,6 @@ impl NodeState {
         if let RpcResult::Granted(grant) = result {
             self.apply_grant(net, grant);
         }
-        // Stream the round trip into the origin-side observer sink: one
-        // synthetic hop origin → responder priced at the RTT.
-        let to = responder
-            .and_then(|r| net.directory.get(&r.raw()))
-            .map_or(NodeIndex(self.slot as u32), |&s| NodeIndex(s as u32));
-        let rtt = (net.now - p.issued_at) as f64;
-        self.rtt_sink.on_event(&HopEvent::Hop {
-            from: NodeIndex(self.slot as u32),
-            to,
-            latency: rtt,
-        });
         self.log(net.now, || {
             format!("done req={req} {outcome:?} hops={hops}")
         });
@@ -598,7 +551,6 @@ impl NodeState {
         match self.next_hop(op.key_point()) {
             Some(nb) => {
                 self.stats.forwarded += 1;
-                self.observe_forward(net, nb);
                 if self.cache.enabled() && matches!(op, Op::Get { .. }) {
                     path.push(self.id);
                 }
@@ -697,20 +649,6 @@ impl NodeState {
                 },
             );
         }
-    }
-
-    fn observe_forward(&mut self, net: &Net<'_>, to: NodeId) {
-        let from = NodeIndex(self.slot as u32);
-        let to = net
-            .directory
-            .get(&to.raw())
-            .map_or(from, |&s| NodeIndex(s as u32));
-        self.hop_sink.on_event(&HopEvent::Attempt { from, to });
-        self.hop_sink.on_event(&HopEvent::Hop {
-            from,
-            to,
-            latency: 1.0,
-        });
     }
 
     /// Replica targets for a key this node is responsible for, from the

@@ -257,7 +257,6 @@ impl Runtime {
         let slot = self.boxes.grow();
         self.states.push(Mutex::new(NodeState::new(
             id,
-            slot,
             links,
             succ_list,
             pred,
@@ -390,25 +389,6 @@ impl Runtime {
             .collect()
     }
 
-    /// Round-trip latency samples from every origin's observer sink, in
-    /// slot order.
-    pub fn rtt_samples(&self) -> Vec<f64> {
-        self.states
-            .iter()
-            .flat_map(|s| lock_unpoisoned(s).rtt_sink.samples().to_vec())
-            .collect()
-    }
-
-    /// Total forwarding-side hop events across the cluster, as
-    /// `(attempts, hops)` from the per-node [`canon_overlay::HopCount`]
-    /// sinks.
-    pub fn hop_totals(&self) -> (usize, usize) {
-        self.states.iter().fold((0, 0), |(a, h), s| {
-            let sink = lock_unpoisoned(s).hop_sink;
-            (a + sink.attempts, h + sink.hops)
-        })
-    }
-
     /// Aggregates the cluster-wide [`Summary`].
     pub fn summary(&self) -> Summary {
         let mut sum = Summary {
@@ -420,7 +400,6 @@ impl Runtime {
             let NodeStats {
                 forwarded,
                 served,
-                replicas_stored: _,
                 duplicate_responses,
                 undeliverable,
                 network_drops,
@@ -449,7 +428,7 @@ impl Runtime {
     }
 
     /// Aggregates cluster-wide cache accounting from every node's
-    /// [`crate::cache::CacheTally`] sink. Kept out of [`Summary`] (like
+    /// [`crate::cache::CacheTally`]. Kept out of [`Summary`] (like
     /// [`Runtime::wire_summary`]) so cached and uncached runs of the same
     /// workload produce byte-identical core summaries.
     pub fn cache_summary(&self) -> CacheSummary {

@@ -79,8 +79,6 @@ fn storm(threads: usize, framed: bool, lossy: bool) -> (String, Option<WireSumma
             out.push_str(&format!("{c:?}\n"));
         }
         out.push_str(&format!("{:?}\n", rt.summary()));
-        out.push_str(&format!("rtt={:?}\n", rt.rtt_samples()));
-        out.push_str(&format!("hops={:?}\n", rt.hop_totals()));
         (out, rt.wire_summary())
     })
 }
